@@ -1,6 +1,6 @@
-//! Self-benchmark of the simulation kernel: raw queue throughput per
-//! backend, full experiment-cell wall-clock per backend, and the parallel
-//! cell runner's speedup over a serial run.
+//! Self-benchmark of the simulation kernel: raw event-queue throughput,
+//! full experiment-cell wall-clock, and the parallel cell runner's speedup
+//! over a serial run.
 //!
 //! ```sh
 //! cargo run --release -p asyncinv-bench --bin kernel_bench             # full
@@ -20,26 +20,22 @@ use asyncinv::figures::Fidelity;
 use asyncinv::fleet::{BalancerKind, Cluster, FleetConfig, ParallelCluster};
 use asyncinv::obs::SpanAssembler;
 use asyncinv::runner::{configured_threads, run_cells};
-use asyncinv::{
-    fmt_f64, BackendKind, Experiment, ExperimentConfig, ServerKind, SimDuration, SimTime, Table,
-};
-use asyncinv_simcore::{AdaptiveQueue, CalendarQueue, EventQueue, LadderQueue, QueueBackend};
+use asyncinv::{fmt_f64, Experiment, ExperimentConfig, ServerKind, SimDuration, SimTime, Table};
+use asyncinv_simcore::EventQueue;
 use serde::Serialize;
 
 /// One hold-model measurement: pop-one/push-one over a standing population.
 #[derive(Debug, Serialize)]
 struct HoldRow {
-    backend: String,
     population: u64,
     /// Queue operations per wall-clock second (each hold = 1 pop + 1 push
     /// + 1 peek, the engine drive loop's per-event pattern).
     events_per_sec: f64,
 }
 
-/// Wall-clock for a fixed Quick cell grid driven end to end on one backend.
+/// Wall-clock for a fixed Quick cell grid driven end to end, serially.
 #[derive(Debug, Serialize)]
 struct GridRow {
-    backend: String,
     cells: usize,
     wall_ms: f64,
 }
@@ -136,7 +132,7 @@ struct FaultRow {
 #[derive(Debug, Serialize)]
 struct KernelBench {
     hold: Vec<HoldRow>,
-    grid: Vec<GridRow>,
+    grid: GridRow,
     proactor: ProactorRow,
     runner: Vec<RunnerRow>,
     parallel_fleet: ParallelFleetBench,
@@ -148,13 +144,12 @@ struct KernelBench {
 /// The steady state of a discrete-event simulation: each iteration peeks
 /// the clock, pops the earliest event, and schedules a successor slightly
 /// in the future, keeping the population constant.
-fn hold_events_per_sec<Q: QueueBackend<u64>>(population: u64, holds: u64) -> f64 {
-    let mut q = Q::default();
+fn hold_events_per_sec(population: u64, holds: u64) -> f64 {
+    let mut q = EventQueue::new();
     for i in 0..population {
         q.push(SimTime::from_nanos(i.wrapping_mul(997)), i);
     }
-    // Warm the structure (lets the calendar settle on a bucket width and
-    // the adaptive queue migrate before the timer starts).
+    // Warm the heap into its steady-state shape before the timer starts.
     for _ in 0..population * 4 {
         hold_once(&mut q);
     }
@@ -169,7 +164,7 @@ fn hold_events_per_sec<Q: QueueBackend<u64>>(population: u64, holds: u64) -> f64
     holds as f64 * 3.0 / secs
 }
 
-fn hold_once<Q: QueueBackend<u64>>(q: &mut Q) -> u64 {
+fn hold_once(q: &mut EventQueue<u64>) -> u64 {
     let head = q.peek_time().expect("population is constant");
     let (t, v) = q.pop().expect("population is constant");
     debug_assert_eq!(head, t);
@@ -177,7 +172,7 @@ fn hold_once<Q: QueueBackend<u64>>(q: &mut Q) -> u64 {
     v
 }
 
-/// The fixed grid timed per backend and through the runner: heterogeneous
+/// The fixed grid timed serially and through the runner: heterogeneous
 /// server models, sizes and concurrencies, Quick windows.
 fn grid() -> Vec<(ServerKind, usize, usize)> {
     let mut cells = Vec::new();
@@ -196,12 +191,10 @@ fn grid() -> Vec<(ServerKind, usize, usize)> {
     cells
 }
 
-fn time_grid_on(backend: BackendKind, cells: &[(ServerKind, usize, usize)]) -> f64 {
+fn time_grid(cells: &[(ServerKind, usize, usize)]) -> f64 {
     let start = Instant::now();
     for &(kind, size, conc) in cells {
-        let mut cfg = Fidelity::Quick.micro(conc, size);
-        cfg.backend = backend;
-        std::hint::black_box(Experiment::new(cfg).run(kind));
+        std::hint::black_box(Experiment::new(Fidelity::Quick.micro(conc, size)).run(kind));
     }
     start.elapsed().as_secs_f64() * 1e3
 }
@@ -209,67 +202,36 @@ fn time_grid_on(backend: BackendKind, cells: &[(ServerKind, usize, usize)]) -> f
 fn main() {
     asyncinv_bench::banner(
         "kernel_bench — simulation-kernel self-benchmark",
-        "O(1)-peek calendar + adaptive backend >= heap on hold-dominated loads; \
+        "event-queue hold rate per standing population; \
          parallel runner cuts grid wall-clock",
     );
     let quick = std::env::args().any(|a| a == "--quick");
     let holds: u64 = if quick { 200_000 } else { 2_000_000 };
 
-    // --- 1. Hold model: the kernel's steady-state op rate per backend. ---
+    // --- 1. Hold model: the kernel's steady-state op rate. ---
     let mut hold = Vec::new();
-    let mut hold_table = Table::new(vec![
-        "backend".into(),
-        "population".into(),
-        "Mops/s".into(),
-    ]);
+    let mut hold_table = Table::new(vec!["population".into(), "Mops/s".into()]);
     hold_table.numeric();
     for &population in &[10u64, 100, 10_000, 100_000] {
-        for backend in BackendKind::ALL {
-            let rate = match backend {
-                BackendKind::Heap => hold_events_per_sec::<EventQueue<u64>>(population, holds),
-                BackendKind::Calendar => {
-                    hold_events_per_sec::<CalendarQueue<u64>>(population, holds)
-                }
-                BackendKind::Adaptive => {
-                    hold_events_per_sec::<AdaptiveQueue<u64>>(population, holds)
-                }
-                BackendKind::Ladder => {
-                    hold_events_per_sec::<LadderQueue<u64>>(population, holds)
-                }
-            };
-            hold_table.row(vec![
-                backend.name().into(),
-                population.to_string(),
-                fmt_f64(rate / 1e6, 2),
-            ]);
-            hold.push(HoldRow {
-                backend: backend.name().into(),
-                population,
-                events_per_sec: rate,
-            });
-        }
+        let rate = hold_events_per_sec(population, holds);
+        hold_table.row(vec![population.to_string(), fmt_f64(rate / 1e6, 2)]);
+        hold.push(HoldRow {
+            population,
+            events_per_sec: rate,
+        });
     }
     println!("\nhold model (pop-one/push-one, constant population):\n{hold_table}");
 
-    // --- 2. Full experiment cells end to end, per backend. ---
+    // --- 2. Full experiment cells end to end. ---
     let cells = grid();
-    let mut grid_rows = Vec::new();
-    let mut grid_table = Table::new(vec!["backend".into(), "cells".into(), "wall[ms]".into()]);
-    grid_table.numeric();
-    for backend in BackendKind::ALL {
-        let wall_ms = time_grid_on(backend, &cells);
-        grid_table.row(vec![
-            backend.name().into(),
-            cells.len().to_string(),
-            fmt_f64(wall_ms, 0),
-        ]);
-        grid_rows.push(GridRow {
-            backend: backend.name().into(),
-            cells: cells.len(),
-            wall_ms,
-        });
-    }
-    println!("\nfixed Quick cell grid, serial, per backend:\n{grid_table}");
+    let grid_row = GridRow {
+        cells: cells.len(),
+        wall_ms: time_grid(&cells),
+    };
+    println!(
+        "\nfixed Quick cell grid, serial: {} cells  {:.0} ms",
+        grid_row.cells, grid_row.wall_ms
+    );
 
     // --- 2b. Proactor row: the untraced grid combos on the ring vs Netty. ---
     let combos: Vec<(usize, usize)> = {
@@ -502,7 +464,7 @@ fn main() {
     let out = std::env::var("ASYNCINV_BENCH_OUT").unwrap_or_else(|_| "BENCH_kernel.json".into());
     let report = KernelBench {
         hold,
-        grid: grid_rows,
+        grid: grid_row,
         proactor,
         runner,
         parallel_fleet,

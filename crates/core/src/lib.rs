@@ -52,7 +52,7 @@ pub use asyncinv_servers::{
     Ctx, EngineEvent, Experiment, ExperimentConfig, HybridPath, ServerKind, ServerModel,
     ServiceProfile, ShedConfig, ShedPolicy,
 };
-pub use asyncinv_simcore::{BackendKind, SimDuration, SimRng, SimTime};
+pub use asyncinv_simcore::{SimDuration, SimRng, SimTime};
 
 /// Deterministic fault injection and client resilience (see
 /// `docs/resilience.md`).

@@ -239,9 +239,9 @@ impl ConservationConfig {
                     summed: vec![
                         AuditSurface::new(
                             "crates/fleet/src/cluster.rs",
-                            "drive_with",
+                            "drive",
                             &["d"],
-                            "interleaved driver epilogue (cluster::drive_with)",
+                            "interleaved driver epilogue (cluster::drive)",
                         ),
                         AuditSurface::new(
                             "crates/fleet/src/parallel.rs",
@@ -298,7 +298,7 @@ impl ConservationConfig {
             ],
             parity: vec![RegistryParity {
                 label: "fleet drivers".into(),
-                left: ("crates/fleet/src/cluster.rs".into(), "drive_with".into()),
+                left: ("crates/fleet/src/cluster.rs".into(), "drive".into()),
                 right: (
                     "crates/fleet/src/parallel.rs".into(),
                     "drive_parallel".into(),

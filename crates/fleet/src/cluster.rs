@@ -20,10 +20,7 @@ use asyncinv_obs::{
 use asyncinv_servers::{
     trace_codes, ConnInfo, Ctx, ExperimentConfig, ServerKind, ShedConfig, ShedPolicy,
 };
-use asyncinv_simcore::{
-    AdaptiveQueue, BackendKind, CalendarQueue, EventQueue, LadderQueue, QueueBackend, SimTime,
-    Simulation,
-};
+use asyncinv_simcore::{SimTime, Simulation};
 use asyncinv_tcp::{ConnId, TcpEvent, TcpNotice, TcpWorld};
 use asyncinv_workload::{ClientEvent, ClientPool, RetryBudget, UserId};
 use serde::{Deserialize, Serialize};
@@ -440,25 +437,11 @@ impl Cluster {
         self.drive(&vec![kind; self.cfg.shards], obs)
     }
 
-    /// Monomorphizes the drive loop for the configured queue backend.
-    /// `pub(crate)` so the parallel driver can delegate degenerate shapes
-    /// (1-shard fleets) to the interleaved loop.
+    /// The interleaved drive loop. `pub(crate)` so the parallel driver can
+    /// delegate degenerate shapes (1-shard fleets) to it.
+    #[allow(clippy::too_many_lines)]
     pub(crate) fn drive(&self, kinds: &[ServerKind], obs: &mut dyn Observer) -> FleetSummary {
         assert_eq!(kinds.len(), self.cfg.shards, "one architecture per shard");
-        match self.cfg.cell.backend {
-            BackendKind::Heap => self.drive_with::<EventQueue<FleetEvent>>(kinds, obs),
-            BackendKind::Calendar => self.drive_with::<CalendarQueue<FleetEvent>>(kinds, obs),
-            BackendKind::Adaptive => self.drive_with::<AdaptiveQueue<FleetEvent>>(kinds, obs),
-            BackendKind::Ladder => self.drive_with::<LadderQueue<FleetEvent>>(kinds, obs),
-        }
-    }
-
-    #[allow(clippy::too_many_lines)]
-    fn drive_with<Q: QueueBackend<FleetEvent>>(
-        &self,
-        kinds: &[ServerKind],
-        obs: &mut dyn Observer,
-    ) -> FleetSummary {
         let cfg = &self.cfg;
         let cell = &cfg.cell;
         let n = cell.clients.concurrency;
@@ -467,7 +450,7 @@ impl Cluster {
         let warm_end = SimTime::ZERO + cell.warmup;
         let end = warm_end + cell.measure;
 
-        let mut sim: Simulation<FleetEvent, Q> = Simulation::default();
+        let mut sim: Simulation<FleetEvent> = Simulation::new();
         let mut clients = ClientPool::new(cell.clients.clone());
         let mut bal = cfg.balancer.build(n_shards);
 

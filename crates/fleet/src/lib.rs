@@ -12,7 +12,7 @@
 //! Guarantees carried over from the single-server engine:
 //!
 //! - **Determinism** — same config, same seed, same [`FleetSummary`],
-//!   bitwise, on any OS thread and any queue backend.
+//!   bitwise, on any OS thread.
 //! - **1-shard transparency** — a fleet of one shard is *bit-identical* to
 //!   a bare [`asyncinv_servers::Experiment`] run under every balancer
 //!   (property-tested across all architectures): balancers draw no

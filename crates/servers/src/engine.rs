@@ -5,10 +5,7 @@ use asyncinv_cpu::{Burst, CpuConfig, CpuEvent, CpuModel, SchedEvent, ThreadId};
 use asyncinv_fault::FaultPlan;
 use asyncinv_metrics::{ClassSummary, CpuShare, Histogram, RunSummary, ThroughputWindow};
 use asyncinv_obs::{NoopObserver, Observer, Recorder, TraceEvent, TraceKind};
-use asyncinv_simcore::{
-    AdaptiveQueue, BackendKind, CalendarQueue, EventQueue, LadderQueue, QueueBackend, SimDuration,
-    SimTime, Simulation,
-};
+use asyncinv_simcore::{SimDuration, SimTime, Simulation};
 use asyncinv_tcp::{ConnId, TcpConfig, TcpEvent, TcpNotice, TcpWorld};
 use asyncinv_workload::{
     ClientConfig, ClientEvent, ClientPool, Mix, RetryBudget, RetryPolicy, RtoEstimator, ThinkTime,
@@ -58,11 +55,6 @@ pub struct ExperimentConfig {
     /// both mean "keep all"). Counts are taken before sampling.
     #[serde(default)]
     pub trace_sample: u64,
-    /// Simulation queue backend. All backends produce identical results
-    /// (the ordering contract is property-tested); this only trades
-    /// wall-clock speed. Defaults to [`BackendKind::Adaptive`].
-    #[serde(default)]
-    pub backend: BackendKind,
     /// Optional fault-injection schedule. `None` (the default) compiles to
     /// nothing: no fault state is consulted anywhere in the hot path and
     /// runs are bit-identical to builds without the fault plane.
@@ -172,7 +164,6 @@ impl ExperimentConfig {
             tomcat_real_nio: false,
             trace_capacity: 0,
             trace_sample: 0,
-            backend: BackendKind::default(),
             faults: None,
             shed: None,
             retry: RetryPolicy::default(),
@@ -525,27 +516,13 @@ impl Experiment {
         self.drive(server, &mut obs)
     }
 
-    /// Monomorphizes the drive loop for the configured queue backend.
     fn drive(&self, server: &mut dyn ServerModel, obs: &mut dyn Observer) -> RunSummary {
-        match self.cfg.backend {
-            BackendKind::Heap => self.drive_with::<EventQueue<EngineEvent>>(server, obs),
-            BackendKind::Calendar => self.drive_with::<CalendarQueue<EngineEvent>>(server, obs),
-            BackendKind::Adaptive => self.drive_with::<AdaptiveQueue<EngineEvent>>(server, obs),
-            BackendKind::Ladder => self.drive_with::<LadderQueue<EngineEvent>>(server, obs),
-        }
-    }
-
-    fn drive_with<Q: QueueBackend<EngineEvent>>(
-        &self,
-        server: &mut dyn ServerModel,
-        obs: &mut dyn Observer,
-    ) -> RunSummary {
         let cfg = &self.cfg;
         let n = cfg.clients.concurrency;
         let warm_end = SimTime::ZERO + cfg.warmup;
         let end = warm_end + cfg.measure;
 
-        let mut sim: Simulation<EngineEvent, Q> = Simulation::default();
+        let mut sim: Simulation<EngineEvent> = Simulation::new();
         let mut cpu = CpuModel::new(cfg.cpu.clone());
         let mut tcp = TcpWorld::new(cfg.tcp.clone());
         let mut clients = ClientPool::new(cfg.clients.clone());
@@ -951,8 +928,8 @@ impl Experiment {
         let mut dropped_snap: u64 = 0;
 
         loop {
-            // Snapshot counters exactly at the warm-up boundary. peek_time
-            // is O(1) on every backend (the calendar caches its head).
+            // Snapshot counters exactly at the warm-up boundary (peek_time
+            // is O(1)).
             if !snapped && sim.peek_time().is_none_or(|t| t >= warm_end) {
                 cpu_snap = *cpu.stats();
                 tcp_snap = tcp.stats();

@@ -21,10 +21,7 @@
 use asyncinv_cpu::{CpuConfig, CpuModel, CpuEvent, SchedEvent, ThreadId};
 use asyncinv_metrics::{Histogram, ThroughputWindow};
 use asyncinv_obs::{NoopObserver, Observer, Recorder, TraceEvent, TraceKind};
-use asyncinv_simcore::{
-    AdaptiveQueue, BackendKind, CalendarQueue, EventQueue, LadderQueue, QueueBackend, SimDuration,
-    SimRng, SimTime, Simulation,
-};
+use asyncinv_simcore::{SimDuration, SimRng, SimTime, Simulation};
 use asyncinv_tcp::{ConnId, TcpConfig, TcpEvent, TcpNotice, TcpWorld};
 use asyncinv_workload::rubbos::{interactions, Interaction, Navigator, RubbosConfig};
 use asyncinv_workload::{Station, StationEvent};
@@ -99,9 +96,6 @@ pub struct RubbosExperiment {
     pub measure: SimDuration,
     /// Worker pool size for the async Tomcat (maxThreads).
     pub pool_workers: usize,
-    /// Simulation queue backend (results are backend-independent; this
-    /// only trades wall-clock speed).
-    pub backend: BackendKind,
 }
 
 impl RubbosExperiment {
@@ -132,7 +126,6 @@ impl RubbosExperiment {
             warmup: SimDuration::from_secs(20),
             measure: SimDuration::from_secs(40),
             pool_workers: 200,
-            backend: BackendKind::default(),
         }
     }
 
@@ -159,12 +152,7 @@ impl RubbosExperiment {
             matches!(kind, ServerKind::SyncThread | ServerKind::AsyncPool),
             "the RUBBoS study compares TomcatSync (SyncThread) and TomcatAsync (AsyncPool)"
         );
-        match self.backend {
-            BackendKind::Heap => run_macro::<EventQueue<MEvent>>(self, kind, obs),
-            BackendKind::Calendar => run_macro::<CalendarQueue<MEvent>>(self, kind, obs),
-            BackendKind::Adaptive => run_macro::<AdaptiveQueue<MEvent>>(self, kind, obs),
-            BackendKind::Ladder => run_macro::<LadderQueue<MEvent>>(self, kind, obs),
-        }
+        run_macro(self, kind, obs)
     }
 
     /// Runs with structured tracing into a fresh [`Recorder`] retaining up
@@ -195,7 +183,7 @@ struct MacroReq {
     remaining: usize,
 }
 
-fn run_macro<Q: QueueBackend<MEvent>>(
+fn run_macro(
     cfg: &RubbosExperiment,
     kind: ServerKind,
     obs: &mut dyn Observer,
@@ -228,7 +216,6 @@ fn run_macro<Q: QueueBackend<MEvent>>(
         tomcat_real_nio: true,
         trace_capacity: 0,
         trace_sample: 0,
-        backend: cfg.backend,
         faults: None,
         shed: None,
         retry: asyncinv_workload::RetryPolicy::default(),
@@ -237,7 +224,7 @@ fn run_macro<Q: QueueBackend<MEvent>>(
     };
     let mut server = kind.build(&engine_cfg);
 
-    let mut sim: Simulation<MEvent, Q> = Simulation::default();
+    let mut sim: Simulation<MEvent> = Simulation::new();
     let mut cpu = CpuModel::new(cfg.cpu.clone());
     let mut tcp = TcpWorld::new(cfg.tcp.clone());
     let mut db = Station::new(

@@ -9,11 +9,10 @@
 //! The kernel is deliberately small and dependency-free:
 //!
 //! * [`SimTime`] / [`SimDuration`] — nanosecond-resolution virtual time.
-//! * [`EventQueue`] / [`CalendarQueue`] / [`AdaptiveQueue`] — stable
-//!   priority queues of timestamped events (ties broken by insertion order
-//!   so runs are reproducible), unified by the [`QueueBackend`] trait.
-//! * [`Simulation`] — clock + pluggable queue backend + scheduling API;
-//!   defaults to the adaptive backend.
+//! * [`EventQueue`] — a stable priority queue of timestamped events (ties
+//!   broken by insertion order so runs are reproducible): a binary heap
+//!   plus a front slot caching the earliest event.
+//! * [`Simulation`] — clock + event queue + scheduling API.
 //! * [`SimRng`] — a seedable xoshiro256++ PRNG so experiments are
 //!   deterministic without depending on platform entropy.
 //!
@@ -41,24 +40,14 @@
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod arena;
-mod backend;
-mod calendar;
-mod ladder;
 mod queue;
 mod rng;
 mod sim;
 mod threads;
 mod time;
 
-pub use arena::{Arena, ArenaIdx, ReqSlot, ReqTable};
-pub use backend::{
-    AdaptiveQueue, BackendKind, QueueBackend, DEFAULT_SWITCH_DOWN, DEFAULT_SWITCH_UP,
-};
-pub use calendar::CalendarQueue;
-pub use ladder::LadderQueue;
 pub use queue::EventQueue;
 pub use rng::SimRng;
-pub use sim::{CalendarSimulation, HeapSimulation, LadderSimulation, Simulation};
+pub use sim::Simulation;
 pub use threads::{configured_threads, THREADS_ENV};
 pub use time::{SimDuration, SimTime};

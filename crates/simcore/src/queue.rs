@@ -4,6 +4,12 @@
 //! load-bearing for reproducibility: many simulation steps (e.g. a burst
 //! completing and a new request arriving) legitimately coincide, and the
 //! substrate models must observe them in a deterministic order.
+//!
+//! The queue is a binary heap plus a one-entry *front slot* that caches
+//! the earliest pending event. The common simulation step "pop one event,
+//! push a follow-up sooner than everything else queued" (a CPU burst
+//! completing and the next burst of the same spin loop) then never
+//! touches the heap: the pop empties the slot and the push refills it.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -24,6 +30,10 @@ use crate::time::SimTime;
 /// ```
 #[derive(Debug)]
 pub struct EventQueue<E> {
+    /// The earliest pending event, when it is known without a heap
+    /// operation. Invariant: when occupied, it orders before every entry
+    /// in `heap`.
+    front: Option<Entry<E>>,
     heap: BinaryHeap<Entry<E>>,
     seq: u64,
 }
@@ -62,15 +72,13 @@ impl<E> Ord for Entry<E> {
 impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
-        EventQueue {
-            heap: BinaryHeap::new(),
-            seq: 0,
-        }
+        EventQueue::with_capacity(0)
     }
 
     /// Creates an empty queue with room for `cap` events.
     pub fn with_capacity(cap: usize) -> Self {
         EventQueue {
+            front: None,
             heap: BinaryHeap::with_capacity(cap),
             seq: 0,
         }
@@ -80,31 +88,52 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, time: SimTime, event: E) {
         let seq = self.seq;
         self.seq += 1;
-        self.heap.push(Entry { time, seq, event });
+        let entry = Entry { time, seq, event };
+        // `entry` carries the largest sequence number yet, so it orders
+        // strictly first only when its time is strictly earlier; an
+        // equal-time push queues behind (FIFO).
+        match &self.front {
+            Some(front) if time < front.time => {
+                let displaced = self.front.replace(entry);
+                self.heap.extend(displaced);
+            }
+            Some(_) => self.heap.push(entry),
+            None if self.heap.peek().is_none_or(|top| time < top.time) => {
+                self.front = Some(entry);
+            }
+            None => self.heap.push(entry),
+        }
     }
 
     /// Removes and returns the earliest event, or `None` when empty.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        self.heap.pop().map(|e| (e.time, e.event))
+        self.front
+            .take()
+            .or_else(|| self.heap.pop())
+            .map(|e| (e.time, e.event))
     }
 
     /// The timestamp of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.peek().map(|e| e.time)
+        self.front
+            .as_ref()
+            .or_else(|| self.heap.peek())
+            .map(|e| e.time)
     }
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.heap.len()
+        self.heap.len() + usize::from(self.front.is_some())
     }
 
     /// `true` when no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.heap.is_empty()
+        self.front.is_none() && self.heap.is_empty()
     }
 
     /// Removes all pending events.
     pub fn clear(&mut self) {
+        self.front = None;
         self.heap.clear();
     }
 }
@@ -183,11 +212,30 @@ mod tests {
     }
 
     #[test]
+    fn front_slot_paths_keep_the_order() {
+        let mut q = EventQueue::new();
+        q.push(SimTime::from_nanos(50), 'c'); // empty queue: into the slot
+        q.push(SimTime::from_nanos(20), 'a'); // ahead of the slot: displaces it
+        q.push(SimTime::from_nanos(20), 'b'); // ties the slot: FIFO behind it
+        q.push(SimTime::from_nanos(90), 'd'); // behind everything: heap
+        assert_eq!((q.len(), q.peek_time()), (4, Some(SimTime::from_nanos(20))));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(20), 'a')));
+        // Slot empty: a push ahead of the heap top takes the slot.
+        q.push(SimTime::from_nanos(10), 'z');
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(10)));
+        let rest: Vec<_> = std::iter::from_fn(|| q.pop()).map(|(_, e)| e).collect();
+        assert_eq!(rest, ['z', 'b', 'c', 'd']);
+    }
+
+    #[test]
     fn len_and_clear() {
         let mut q: EventQueue<u8> = (0..5).map(|i| (SimTime::from_nanos(i), i as u8)).collect();
         assert_eq!(q.len(), 5);
         assert!(!q.is_empty());
         q.clear();
         assert!(q.is_empty());
+        assert_eq!(q.peek_time(), None);
+        q.push(SimTime::from_nanos(3), 9);
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(3), 9)));
     }
 }

@@ -1,10 +1,5 @@
-//! The simulation driver: a virtual clock plus a pluggable event queue.
+//! The simulation driver: a virtual clock plus the event queue.
 
-use std::marker::PhantomData;
-
-use crate::backend::{AdaptiveQueue, QueueBackend};
-use crate::calendar::CalendarQueue;
-use crate::ladder::LadderQueue;
 use crate::queue::EventQueue;
 use crate::time::{SimDuration, SimTime};
 
@@ -16,13 +11,10 @@ use crate::time::{SimDuration, SimTime};
 /// model state outside the kernel, which sidesteps borrow conflicts between
 /// the queue and the model.
 ///
-/// The queue shape is a type parameter implementing [`QueueBackend`]; the
-/// default is [`AdaptiveQueue`], which starts on the binary heap and
-/// migrates to a calendar queue under large standing populations. Every
-/// backend delivers the exact same event ordering (stable FIFO on equal
-/// timestamps), so the choice affects wall-clock speed only — use
-/// [`HeapSimulation`] / [`CalendarSimulation`] to pin a shape, e.g. for
-/// benchmarking.
+/// Events are held in an [`EventQueue`]: delivery is in timestamp order,
+/// FIFO among equal timestamps, and an event scheduled sooner than
+/// everything pending (a burst chained on the one just delivered) is
+/// queued and delivered without a heap operation.
 ///
 /// ```
 /// use asyncinv_simcore::{Simulation, SimDuration};
@@ -38,53 +30,21 @@ use crate::time::{SimDuration, SimTime};
 /// assert_eq!(sim.now().as_micros(), 4);
 /// ```
 #[derive(Debug)]
-pub struct Simulation<E, Q = AdaptiveQueue<E>>
-where
-    Q: QueueBackend<E>,
-{
-    queue: Q,
+pub struct Simulation<E> {
+    queue: EventQueue<E>,
     now: SimTime,
     processed: u64,
-    _events: PhantomData<fn() -> E>,
 }
-
-/// A [`Simulation`] pinned to the binary-heap backend.
-pub type HeapSimulation<E> = Simulation<E, EventQueue<E>>;
-
-/// A [`Simulation`] pinned to the calendar-queue backend.
-pub type CalendarSimulation<E> = Simulation<E, CalendarQueue<E>>;
-
-/// A [`Simulation`] pinned to the ladder-queue backend.
-pub type LadderSimulation<E> = Simulation<E, LadderQueue<E>>;
 
 impl<E> Simulation<E> {
-    /// Creates a simulation with the clock at [`SimTime::ZERO`] and the
-    /// default adaptive queue backend.
-    ///
-    /// (Like `HashMap::new`, this constructor is defined only for the
-    /// default backend so plain `Simulation::new()` infers; use
-    /// [`Simulation::with_backend`] or `Q::default()` via
-    /// [`Default::default`] to pick another shape.)
+    /// Creates a simulation with the clock at [`SimTime::ZERO`] and no
+    /// pending events.
     pub fn new() -> Self {
-        Simulation::with_backend(AdaptiveQueue::new())
-    }
-}
-
-impl<E, Q: QueueBackend<E>> Simulation<E, Q> {
-    /// Creates a simulation backed by the given queue (which may already
-    /// hold events).
-    pub fn with_backend(queue: Q) -> Self {
         Simulation {
-            queue,
+            queue: EventQueue::new(),
             now: SimTime::ZERO,
             processed: 0,
-            _events: PhantomData,
         }
-    }
-
-    /// The backend's short name ("heap", "calendar", "adaptive").
-    pub fn backend_name(&self) -> &'static str {
-        Q::NAME
     }
 
     /// The current virtual time.
@@ -156,8 +116,7 @@ impl<E, Q: QueueBackend<E>> Simulation<E, Q> {
         }
     }
 
-    /// The timestamp of the next pending event, if any. O(1) on every
-    /// backend in this crate.
+    /// The timestamp of the next pending event, if any. O(1).
     pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
@@ -168,9 +127,9 @@ impl<E, Q: QueueBackend<E>> Simulation<E, Q> {
     }
 }
 
-impl<E, Q: QueueBackend<E>> Default for Simulation<E, Q> {
+impl<E> Default for Simulation<E> {
     fn default() -> Self {
-        Simulation::with_backend(Q::default())
+        Simulation::new()
     }
 }
 
@@ -247,31 +206,5 @@ mod tests {
         sim.clear();
         assert_eq!(sim.pending(), 0);
         assert!(sim.next_event().is_none());
-    }
-
-    #[test]
-    fn pinned_backends_match_the_default() {
-        fn run<Q: QueueBackend<u32>>(mut sim: Simulation<u32, Q>) -> Vec<(u64, u32)> {
-            for i in 0..400u32 {
-                sim.schedule_at(SimTime::from_nanos(u64::from((i * 7) % 50)), i);
-            }
-            let mut out = Vec::new();
-            while let Some((t, e)) = sim.next_event() {
-                out.push((t.as_nanos(), e));
-            }
-            out
-        }
-        let heap = run(HeapSimulation::default());
-        let cal = run(CalendarSimulation::default());
-        let ladder = run(LadderSimulation::default());
-        let adaptive = run(Simulation::new());
-        assert_eq!(heap, cal);
-        assert_eq!(heap, ladder);
-        assert_eq!(heap, adaptive);
-        assert_eq!(
-            HeapSimulation::<u32>::default().backend_name(),
-            "heap"
-        );
-        assert_eq!(Simulation::<u32>::new().backend_name(), "adaptive");
     }
 }

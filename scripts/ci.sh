@@ -14,6 +14,9 @@ cargo build --release
 echo "== tier 1: tests =="
 cargo test -q
 
+echo "== gate: workspace tests (crate unit tests, detlint mutation tests, servers/tests) =="
+cargo test --workspace --release -q
+
 echo "== gate: detlint (determinism + coverage + counter conservation) =="
 cargo run --release -p detlint -- check --json results/detlint-report.json
 

@@ -1,10 +1,82 @@
 //! Property tests of the simulation kernel.
 
-use asyncinv_lab::simcore::{
-    AdaptiveQueue, CalendarQueue, EventQueue, LadderQueue, QueueBackend, SimDuration, SimRng,
-    SimTime, Simulation,
-};
+use asyncinv_lab::simcore::{EventQueue, SimDuration, SimRng, SimTime, Simulation};
 use proptest::prelude::*;
+
+/// The reference model of [`EventQueue`]: an unordered list of
+/// `(time, seq, id)` whose pop removes the `(time, seq)` minimum.
+#[derive(Default)]
+struct ModelQueue {
+    entries: Vec<(u64, u64, u64)>,
+    seq: u64,
+}
+
+impl ModelQueue {
+    fn push(&mut self, time: u64, id: u64) {
+        self.entries.push((time, self.seq, id));
+        self.seq += 1;
+    }
+
+    fn min_index(&self) -> Option<usize> {
+        (0..self.entries.len()).min_by_key(|&i| (self.entries[i].0, self.entries[i].1))
+    }
+
+    fn pop(&mut self) -> Option<(SimTime, u64)> {
+        let (time, _, id) = self.entries.swap_remove(self.min_index()?);
+        Some((SimTime::from_nanos(time), id))
+    }
+
+    fn peek_time(&self) -> Option<SimTime> {
+        self.min_index()
+            .map(|i| SimTime::from_nanos(self.entries[i].0))
+    }
+}
+
+/// One step of a queue script; `Ahead` and `Tie` are relative to the
+/// earliest pending event, so they reach the front-slot paths whatever
+/// the random times are.
+#[derive(Debug, Clone, Copy)]
+enum QueueOp {
+    /// Push at an absolute time.
+    Push(u64),
+    /// Push this many ns before the earliest pending event (strictly
+    /// before it unless that event is at time 0).
+    Ahead(u64),
+    /// Push at the same time as the earliest pending event.
+    Tie,
+    Pop,
+    Clear,
+}
+
+impl QueueOp {
+    fn from_raw((kind, t): (u8, u64)) -> QueueOp {
+        match kind {
+            0..=5 => QueueOp::Push(1_000 + t * 7),
+            6..=8 => QueueOp::Ahead(1 + t % 5),
+            9..=10 => QueueOp::Tie,
+            11..=14 => QueueOp::Pop,
+            _ => QueueOp::Clear,
+        }
+    }
+}
+
+/// A fixed prologue that takes every front-slot path at least once: a
+/// push into the empty queue, pushes behind it, a pop that empties the
+/// slot, a push ahead of the heap top with the slot empty, a push ahead
+/// of an occupied slot, a push tying the slot, and a clear.
+const PROLOGUE: [QueueOp; 11] = [
+    QueueOp::Push(1_100),
+    QueueOp::Push(1_200),
+    QueueOp::Push(1_300),
+    QueueOp::Pop,
+    QueueOp::Ahead(50),
+    QueueOp::Ahead(30),
+    QueueOp::Tie,
+    QueueOp::Tie,
+    QueueOp::Pop,
+    QueueOp::Clear,
+    QueueOp::Push(1_000),
+];
 
 proptest! {
     /// Events pop in non-decreasing time order regardless of insertion
@@ -64,174 +136,48 @@ proptest! {
         prop_assert!(sim.now() >= deadline || sim.pending() == 0);
     }
 
-    /// The calendar queue is order-equivalent (including FIFO ties) to the
-    /// binary-heap queue for arbitrary interleavings of pushes and pops.
+    /// `EventQueue` pops, peeks and counts exactly like the reference
+    /// model for arbitrary scripts of pushes (absolute, ahead of the
+    /// earliest event, tying it), pops and clears, each run after the
+    /// prologue that takes every front-slot path.
     #[test]
-    fn calendar_equivalent_to_heap(ops in prop::collection::vec((0u64..5_000, any::<bool>()), 1..400)) {
-        let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::new();
-        let mut next_id = 0u64;
-        for (t, do_pop) in ops {
-            if do_pop {
-                let a = heap.pop();
-                let b = cal.pop();
-                prop_assert_eq!(a, b, "pop divergence");
-            } else {
-                heap.push(SimTime::from_nanos(t * 131), next_id);
-                cal.push(SimTime::from_nanos(t * 131), next_id);
-                next_id += 1;
-            }
-            prop_assert_eq!(heap.len(), cal.len());
-        }
-        loop {
-            let a = heap.pop();
-            let b = cal.pop();
-            prop_assert_eq!(a, b, "drain divergence");
-            if b.is_none() { break; }
-        }
-    }
-
-    /// All four kernel backends — heap, calendar, the adaptive queue
-    /// (including one with tiny thresholds that forces repeated
-    /// heap<->calendar migrations), and the ladder queue — produce
-    /// byte-identical pop sequences for arbitrary interleavings of pushes
-    /// and pops. This is the property that lets [`Simulation`] default to
-    /// the adaptive backend and the large-population benchmarks pin the
-    /// ladder.
-    #[test]
-    fn backends_pop_identically(ops in prop::collection::vec((0u64..50_000, any::<bool>()), 1..500)) {
-        let mut heap = EventQueue::new();
-        let mut cal = CalendarQueue::new();
-        let mut ada = AdaptiveQueue::new();
-        let mut ada_tiny = AdaptiveQueue::with_thresholds(8, 3);
-        let mut lad = LadderQueue::new();
-        let mut next_id = 0u64;
-        for (t, do_pop) in ops {
-            if do_pop {
-                let a = QueueBackend::pop(&mut heap);
-                prop_assert_eq!(a, QueueBackend::pop(&mut cal), "calendar divergence");
-                prop_assert_eq!(a, QueueBackend::pop(&mut ada), "adaptive divergence");
-                prop_assert_eq!(a, QueueBackend::pop(&mut ada_tiny), "migrating-adaptive divergence");
-                prop_assert_eq!(a, QueueBackend::pop(&mut lad), "ladder divergence");
-            } else {
-                let time = SimTime::from_nanos(t * 97);
-                heap.push(time, next_id);
-                cal.push(time, next_id);
-                ada.push(time, next_id);
-                ada_tiny.push(time, next_id);
-                lad.push(time, next_id);
-                next_id += 1;
-            }
-            prop_assert_eq!(QueueBackend::peek_time(&heap), QueueBackend::peek_time(&cal));
-            prop_assert_eq!(QueueBackend::peek_time(&heap), QueueBackend::peek_time(&ada));
-            prop_assert_eq!(QueueBackend::peek_time(&heap), QueueBackend::peek_time(&ada_tiny));
-            prop_assert_eq!(QueueBackend::peek_time(&heap), QueueBackend::peek_time(&lad));
-        }
-        loop {
-            let a = QueueBackend::pop(&mut heap);
-            prop_assert_eq!(a, QueueBackend::pop(&mut cal), "calendar drain divergence");
-            prop_assert_eq!(a, QueueBackend::pop(&mut ada), "adaptive drain divergence");
-            prop_assert_eq!(a, QueueBackend::pop(&mut ada_tiny), "migrating drain divergence");
-            prop_assert_eq!(a, QueueBackend::pop(&mut lad), "ladder drain divergence");
-            if a.is_none() { break; }
-        }
-    }
-
-    /// The ladder queue preserves FIFO order among equal-time events
-    /// (stability) under adversarial push/pop interleavings that force
-    /// rung spawns and bucket reloads: many duplicates of few distinct
-    /// times, pushed in bursts between pops.
-    #[test]
-    fn ladder_is_stable_at_equal_times(
-        bursts in prop::collection::vec((0u64..64, 1usize..12, any::<bool>()), 1..120),
+    fn event_queue_matches_reference_model(
+        raw in prop::collection::vec((0u8..16, 0u64..64), 0..400),
     ) {
-        let mut lad = LadderQueue::new();
-        let mut heap = EventQueue::new();
+        let mut q = EventQueue::new();
+        let mut model = ModelQueue::default();
         let mut next_id = 0u64;
-        for (t, reps, do_pop) in bursts {
-            for _ in 0..reps {
-                // Few distinct times => heavy tie traffic inside buckets.
-                let time = SimTime::from_nanos(t * 13);
-                lad.push(time, next_id);
-                heap.push(time, next_id);
-                next_id += 1;
-            }
-            if do_pop {
-                prop_assert_eq!(QueueBackend::pop(&mut lad), QueueBackend::pop(&mut heap));
-            }
-        }
-        let mut last: Option<(u64, u64)> = None;
-        while let Some((t, id)) = QueueBackend::pop(&mut lad) {
-            prop_assert_eq!(Some((t, id)), QueueBackend::pop(&mut heap));
-            if let Some((lt, lid)) = last {
-                prop_assert!(t.as_nanos() >= lt, "time went backwards");
-                if t.as_nanos() == lt {
-                    prop_assert!(id > lid, "equal-time pops must stay FIFO");
+        let ops = PROLOGUE.iter().copied().chain(raw.into_iter().map(QueueOp::from_raw));
+        for op in ops {
+            let earliest = model.peek_time().map(SimTime::as_nanos);
+            let push_at = match op {
+                QueueOp::Push(t) => Some(t),
+                QueueOp::Ahead(d) => Some(earliest.map_or(1_000, |t| t.saturating_sub(d))),
+                QueueOp::Tie => Some(earliest.unwrap_or(1_000)),
+                QueueOp::Pop => {
+                    prop_assert_eq!(q.pop(), model.pop(), "pop divergence");
+                    None
                 }
-            }
-            last = Some((t.as_nanos(), id));
-        }
-        prop_assert_eq!(QueueBackend::pop(&mut heap), None);
-    }
-
-    /// Ladder edge cases as a property: bimodal timestamps (a dense near
-    /// cluster plus far-future spills landing past the top's domain) with
-    /// drain bursts that empty the queue mid-sequence. The pop stream must
-    /// stay byte-identical to the heap through top transfers, rung
-    /// spawns over huge spans, and top reopenings.
-    #[test]
-    fn ladder_far_future_and_drain_interleaving(
-        ops in prop::collection::vec((0u64..2_000, any::<bool>(), 0usize..6), 1..200),
-    ) {
-        let mut lad = LadderQueue::new();
-        let mut heap = EventQueue::new();
-        let mut next_id = 0u64;
-        for (t, far, pops) in ops {
-            // Far pushes land ~10^9 ns past the near cluster, guaranteeing
-            // they spill into the top whatever the active edges are.
-            let time = if far {
-                SimTime::from_nanos(1_000_000_000 + t * 1_000_003)
-            } else {
-                SimTime::from_nanos(t)
+                QueueOp::Clear => {
+                    q.clear();
+                    model.entries.clear();
+                    None
+                }
             };
-            lad.push(time, next_id);
-            heap.push(time, next_id);
-            next_id += 1;
-            for _ in 0..pops {
-                let a = QueueBackend::pop(&mut lad);
-                prop_assert_eq!(a, QueueBackend::pop(&mut heap), "pop divergence");
-                prop_assert_eq!(QueueBackend::peek_time(&lad), QueueBackend::peek_time(&heap));
+            if let Some(t) = push_at {
+                q.push(SimTime::from_nanos(t), next_id);
+                model.push(t, next_id);
+                next_id += 1;
             }
+            prop_assert_eq!(q.peek_time(), model.peek_time(), "peek divergence after {:?}", op);
+            prop_assert_eq!(q.len(), model.entries.len(), "len divergence after {:?}", op);
+            prop_assert_eq!(q.is_empty(), model.entries.is_empty());
         }
         loop {
-            let a = QueueBackend::pop(&mut lad);
-            prop_assert_eq!(a, QueueBackend::pop(&mut heap), "drain divergence");
+            let a = q.pop();
+            prop_assert_eq!(a, model.pop(), "drain divergence");
             if a.is_none() { break; }
         }
-    }
-
-    /// A simulation pinned to each backend delivers the exact same
-    /// (time, payload) stream for random schedules.
-    #[test]
-    fn simulations_agree_across_backends(delays in prop::collection::vec(0u64..100_000, 1..300)) {
-        let mut on_heap: Simulation<u64, EventQueue<u64>> = Simulation::default();
-        let mut on_cal: Simulation<u64, CalendarQueue<u64>> = Simulation::default();
-        let mut on_ada: Simulation<u64, AdaptiveQueue<u64>> = Simulation::default();
-        let mut on_lad: Simulation<u64, LadderQueue<u64>> = Simulation::default();
-        for &d in &delays {
-            on_heap.schedule(SimDuration::from_nanos(d), d);
-            on_cal.schedule(SimDuration::from_nanos(d), d);
-            on_ada.schedule(SimDuration::from_nanos(d), d);
-            on_lad.schedule(SimDuration::from_nanos(d), d);
-        }
-        loop {
-            let a = on_heap.next_event();
-            prop_assert_eq!(a, on_cal.next_event());
-            prop_assert_eq!(a, on_ada.next_event());
-            prop_assert_eq!(a, on_lad.next_event());
-            if a.is_none() { break; }
-        }
-        prop_assert_eq!(on_heap.events_processed(), delays.len() as u64);
     }
 
     /// Uniform range stays in range for arbitrary seeds and bounds.

@@ -1,5 +1,4 @@
-//! Integration tests of the deterministic parallel cell runner and of
-//! backend equivalence at the level of full experiment results.
+//! Integration tests of the deterministic parallel cell runner.
 //!
 //! The runner's contract is that a parallel run of a cell grid is
 //! *identical* to a serial run, cell for cell — not statistically close,
@@ -9,7 +8,7 @@
 
 use asyncinv::figures::Fidelity;
 use asyncinv::runner::{parallel_map, run_cells};
-use asyncinv::{BackendKind, Experiment, ServerKind};
+use asyncinv::ServerKind;
 
 /// A small but heterogeneous grid: different server models, sizes, and
 /// concurrencies, so cells finish at different times and worker
@@ -64,33 +63,4 @@ fn parallel_map_handles_unbalanced_work() {
         acc ^ n
     };
     assert_eq!(parallel_map(&items, 8, f), parallel_map(&items, 1, f));
-}
-
-/// Every queue backend must yield the *same* full `RunSummary` for the same
-/// experiment cell: the kernel swap is a pure performance change. This is
-/// the end-to-end counterpart of the pop-ordering property test in
-/// `tests/prop_simcore.rs`.
-#[test]
-fn run_summaries_identical_across_backends() {
-    for kind in [
-        ServerKind::SyncThread,
-        ServerKind::AsyncPool,
-        ServerKind::SingleThread,
-        ServerKind::NettyLike,
-    ] {
-        let mut results = Vec::new();
-        for backend in BackendKind::ALL {
-            let mut cfg = Fidelity::Quick.micro(16, 10 * 1024);
-            cfg.backend = backend;
-            results.push((backend, Experiment::new(cfg).run(kind)));
-        }
-        let (_, ref baseline) = results[0];
-        for (backend, summary) in &results[1..] {
-            assert_eq!(
-                baseline, summary,
-                "{kind:?} diverged on the {} backend",
-                backend.name()
-            );
-        }
-    }
 }
