@@ -170,88 +170,113 @@ enum DagEvent {
     SlowEnd(u32),
 }
 
-/// Caller-side state of one out-edge of one call instance.
+/// A simulated instant that may be unset, in 8 bytes where
+/// `Option<SimTime>` takes 16: [`SimTime::MAX`] stands for "unset" (no
+/// run's clock reaches it).
+#[derive(Debug, Clone, Copy)]
+struct Stamp(SimTime);
+
+impl Stamp {
+    const UNSET: Stamp = Stamp(SimTime::MAX);
+
+    fn get(self) -> Option<SimTime> {
+        (self.0 != SimTime::MAX).then_some(self.0)
+    }
+
+    fn set(&mut self, t: SimTime) {
+        debug_assert!(t != SimTime::MAX, "SimTime::MAX is the unset stamp");
+        self.0 = t;
+    }
+}
+
+/// [`EDGE_ROOT`] in the driver's 32-bit edge ids.
+const ROOT_EDGE: u32 = EDGE_ROOT as u32;
+
+/// Caller-side state of one out-edge of one call instance. A call's
+/// edge controls are consecutive in [`Engine::ctls`], in out-edge order.
 #[derive(Debug)]
 struct EdgeCtl {
     /// Edge index into the graph.
-    edge: usize,
+    edge: u32,
     /// Dispatch generations so far (initial + retries; hedges excluded).
     attempts: u32,
+    /// The winning instance (meaningful once `joined_at` is set).
+    winner: u32,
     /// A hedge duplicate has been fired for this edge call.
     hedged: bool,
     /// When the first generation was dispatched (edge-RTT baseline).
     first_dispatch: SimTime,
     /// When the edge joined, if it has.
-    joined_at: Option<SimTime>,
-    /// The winning instance.
-    winner: Option<u32>,
+    joined_at: Stamp,
 }
 
 impl EdgeCtl {
-    fn new(edge: usize) -> Self {
+    fn new(edge: u32) -> Self {
         EdgeCtl {
             edge,
             attempts: 0,
+            winner: 0,
             hedged: false,
             first_dispatch: SimTime::ZERO,
-            joined_at: None,
-            winner: None,
+            joined_at: Stamp::UNSET,
         }
     }
 }
 
-/// One call instance.
+/// One call instance: a row of the engine's call table. Every id is
+/// 32-bit: call ids are minted checked, a request id never exceeds its
+/// root call's id, and `Engine::new` bounds the tier and edge counts.
 #[derive(Debug)]
 struct Inst {
-    req: u64,
-    node: usize,
-    /// Inbound edge index ([`EDGE_ROOT`] for the root call).
-    edge: u64,
+    req: u32,
+    node: u32,
+    /// Inbound edge index ([`ROOT_EDGE`] for the root call).
+    edge: u32,
     attempt: u32,
-    hedge: bool,
-    /// `(parent instance, out-edge slot)`; `None` for the root call.
-    parent: Option<(u32, u32)>,
-    dead: bool,
-    won: bool,
+    /// Caller instance and its out-edge slot (unused for the root call).
+    parent: u32,
+    slot: u32,
     /// Out-edges not yet joined (meaningful after local service).
     pending: u32,
-    out: Vec<EdgeCtl>,
+    /// Index of this call's first edge control in [`Engine::ctls`]
+    /// (meaningful after local service, for non-leaf tiers).
+    out: u32,
+    hedge: bool,
+    dead: bool,
+    won: bool,
     dispatch: SimTime,
-    enter: Option<SimTime>,
-    exit: Option<SimTime>,
-    done: Option<SimTime>,
-    reply: Option<SimTime>,
-    death: Option<SimTime>,
+    enter: Stamp,
+    exit: Stamp,
+    done: Stamp,
+    reply: Stamp,
+    death: Stamp,
 }
 
 impl Inst {
-    fn new(
-        req: u64,
-        node: usize,
-        edge: u64,
-        attempt: u32,
-        hedge: bool,
-        parent: Option<(u32, u32)>,
-        dispatch: SimTime,
-    ) -> Self {
+    fn new(req: u32, node: u32, edge: u32, attempt: u32, hedge: bool, dispatch: SimTime) -> Self {
         Inst {
             req,
             node,
             edge,
             attempt,
+            parent: 0,
+            slot: 0,
+            pending: 0,
+            out: 0,
             hedge,
-            parent,
             dead: false,
             won: false,
-            pending: 0,
-            out: Vec::new(),
             dispatch,
-            enter: None,
-            exit: None,
-            done: None,
-            reply: None,
-            death: None,
+            enter: Stamp::UNSET,
+            exit: Stamp::UNSET,
+            done: Stamp::UNSET,
+            reply: Stamp::UNSET,
+            death: Stamp::UNSET,
         }
+    }
+
+    fn is_root(&self) -> bool {
+        self.edge == ROOT_EDGE
     }
 }
 
@@ -281,7 +306,11 @@ struct Engine<'a> {
     sim: Simulation<DagEvent>,
     rng: SimRng,
     stations: Vec<TierStation>,
+    /// The call table, indexed by call-instance id.
     insts: Vec<Inst>,
+    /// Every non-leaf call's edge controls, one flat slab (see
+    /// [`Inst::out`]).
+    ctls: Vec<EdgeCtl>,
     roots: Vec<u32>,
     counters: Vec<TierCounters>,
     budgets: Vec<RetryBudget>,
@@ -321,6 +350,12 @@ impl<'a> Engine<'a> {
             })
             .collect();
         let estimators = g.edges.iter().map(|_| HedgeEstimator::new()).collect();
+        // Tier and edge indices are stored as `u32`; a validated graph
+        // has far fewer, but the narrowing below must stay lossless.
+        assert!(
+            u32::try_from(g.tiers.len()).is_ok() && g.edges.len() < ROOT_EDGE as usize,
+            "service graph too large for 32-bit tier and edge ids"
+        );
         let enabled = obs.is_enabled();
         Engine {
             out_edges: g.out_edges(),
@@ -333,6 +368,7 @@ impl<'a> Engine<'a> {
             sim: Simulation::new(),
             rng: SimRng::new(g.seed),
             insts: Vec::new(),
+            ctls: Vec::new(),
             roots: Vec::new(),
             arrivals: 0,
             requests: 0,
@@ -415,10 +451,10 @@ impl<'a> Engine<'a> {
         if now >= self.warm_start {
             self.requests += 1;
         }
-        let req = self.arrivals - 1;
-        let id = self.insts.len() as u32;
-        self.insts
-            .push(Inst::new(req, 0, EDGE_ROOT, 0, false, None, now));
+        let id = self.next_id();
+        // A root is a call instance, so its index fits wherever ids do.
+        let req = (self.arrivals - 1) as u32;
+        self.insts.push(Inst::new(req, 0, ROOT_EDGE, 0, false, now));
         self.roots.push(id);
         self.emit(
             TraceEvent::new(now, TraceKind::RequestArrive)
@@ -432,11 +468,16 @@ impl<'a> Engine<'a> {
         }
     }
 
+    /// Mints the id of the next call instance.
+    fn next_id(&self) -> u32 {
+        u32::try_from(self.insts.len()).expect("call-instance ids exceed u32")
+    }
+
     fn node_arrive(&mut self, id: u32) {
         let now = self.sim.now();
         let (node, req, edge, is_root) = {
             let i = &self.insts[id as usize];
-            (i.node, i.req, i.edge, i.parent.is_none())
+            (i.node as usize, i.req, u64::from(i.edge), i.is_root())
         };
         let st = &mut self.stations[node];
         if st.busy < st.slots {
@@ -444,7 +485,7 @@ impl<'a> Engine<'a> {
             self.start_service(id);
         } else if st.queue.len() < st.cap {
             st.queue.push_back(id);
-            self.insts[id as usize].enter = Some(now);
+            self.insts[id as usize].enter.set(now);
             self.emit(
                 TraceEvent::new(now, TraceKind::QueueEnter)
                     .conn(req as usize)
@@ -457,7 +498,7 @@ impl<'a> Engine<'a> {
             // its edge timeout fires — async invocation's silent failure.
             self.counters[node].sheds += 1;
             self.insts[id as usize].dead = true;
-            self.insts[id as usize].death = Some(now);
+            self.insts[id as usize].death.set(now);
             self.emit(
                 TraceEvent::new(now, TraceKind::Shed)
                     .conn(req as usize)
@@ -475,12 +516,17 @@ impl<'a> Engine<'a> {
         let now = self.sim.now();
         let (node, req, edge, fresh) = {
             let i = &self.insts[id as usize];
-            (i.node, i.req, i.edge, i.enter.is_none())
+            (
+                i.node as usize,
+                i.req,
+                u64::from(i.edge),
+                i.enter.get().is_none(),
+            )
         };
         if fresh {
             // A free slot served the arrival immediately: the queue
             // episode is zero-length but still balanced in the trace.
-            self.insts[id as usize].enter = Some(now);
+            self.insts[id as usize].enter.set(now);
             self.emit(
                 TraceEvent::new(now, TraceKind::QueueEnter)
                     .conn(req as usize)
@@ -489,7 +535,7 @@ impl<'a> Engine<'a> {
                     .arg(edge),
             );
         }
-        self.insts[id as usize].exit = Some(now);
+        self.insts[id as usize].exit.set(now);
         self.emit(
             TraceEvent::new(now, TraceKind::QueueExit)
                 .conn(req as usize)
@@ -520,50 +566,56 @@ impl<'a> Engine<'a> {
 
     fn svc_done(&mut self, id: u32) {
         let now = self.sim.now();
-        let node = self.insts[id as usize].node;
+        let node = self.insts[id as usize].node as usize;
         self.counters[node].served += 1;
-        self.insts[id as usize].done = Some(now);
+        self.insts[id as usize].done.set(now);
         let st = &mut self.stations[node];
         st.busy -= 1;
         if let Some(next) = st.queue.pop_front() {
             st.busy += 1;
             self.start_service(next);
         }
-        let outs = self.out_edges[node].clone();
-        if outs.is_empty() {
+        let fanout = self.out_edges[node].len();
+        if fanout == 0 {
             self.send_reply(id);
-        } else {
-            self.insts[id as usize].pending = outs.len() as u32;
-            self.insts[id as usize].out = outs.iter().map(|&e| EdgeCtl::new(e)).collect();
-            for (slot, &e) in outs.iter().enumerate() {
-                self.budgets[e].deposit();
-                self.dispatch_child(id, slot, 0, false);
-            }
+            return;
         }
+        let out = u32::try_from(self.ctls.len()).expect("edge-control indices exceed u32");
+        self.ctls
+            .extend(self.out_edges[node].iter().map(|&e| EdgeCtl::new(e as u32)));
+        let inst = &mut self.insts[id as usize];
+        inst.pending = fanout as u32;
+        inst.out = out;
+        for slot in 0..fanout {
+            self.budgets[self.out_edges[node][slot]].deposit();
+            self.dispatch_child(id, slot, 0, false);
+        }
+    }
+
+    /// Caller `parent`'s edge control for out-edge `slot`.
+    fn ctl(&self, parent: u32, slot: usize) -> &EdgeCtl {
+        &self.ctls[self.insts[parent as usize].out as usize + slot]
+    }
+
+    fn ctl_mut(&mut self, parent: u32, slot: usize) -> &mut EdgeCtl {
+        &mut self.ctls[self.insts[parent as usize].out as usize + slot]
     }
 
     /// The single dispatch site: initial sends, edge retries and hedge
     /// duplicates all flow through here.
     fn dispatch_child(&mut self, parent: u32, slot: usize, attempt: u32, hedge: bool) {
         let now = self.sim.now();
-        let (req, e_idx) = {
-            let p = &self.insts[parent as usize];
-            (p.req, p.out[slot].edge)
-        };
+        let req = self.insts[parent as usize].req;
+        let e_idx = self.ctl(parent, slot).edge as usize;
         let e = &self.g.edges[e_idx];
         let (to, latency, timeout, hcfg) = (e.to, e.latency, e.timeout, e.hedge);
-        let id = self.insts.len() as u32;
-        self.insts.push(Inst::new(
-            req,
-            to,
-            e_idx as u64,
-            attempt,
-            hedge,
-            Some((parent, slot as u32)),
-            now,
-        ));
+        let id = self.next_id();
+        let mut child = Inst::new(req, to as u32, e_idx as u32, attempt, hedge, now);
+        child.parent = parent;
+        child.slot = slot as u32;
+        self.insts.push(child);
         {
-            let ctl = &mut self.insts[parent as usize].out[slot];
+            let ctl = self.ctl_mut(parent, slot);
             if attempt == 0 && !hedge {
                 ctl.first_dispatch = now;
             }
@@ -590,7 +642,7 @@ impl<'a> Engine<'a> {
                 },
             );
             if let Some(h) = hcfg {
-                if !self.insts[parent as usize].out[slot].hedged {
+                if !self.ctl(parent, slot).hedged {
                     let delay = self.estimators[e_idx].delay(&h);
                     self.sim.schedule(
                         delay,
@@ -612,12 +664,12 @@ impl<'a> Engine<'a> {
             if p.dead {
                 return;
             }
-            let ctl = &p.out[slot];
+            let ctl = self.ctl(parent, slot);
             // Joined, or a newer generation owns the edge: stale timer.
-            if ctl.joined_at.is_some() || ctl.attempts != attempt + 1 {
+            if ctl.joined_at.get().is_some() || ctl.attempts != attempt + 1 {
                 return;
             }
-            (p.req, p.node, ctl.edge)
+            (p.req, p.node as usize, ctl.edge as usize)
         };
         let now = self.sim.now();
         self.counters[pnode].edge_timeouts += 1;
@@ -648,14 +700,14 @@ impl<'a> Engine<'a> {
             if p.dead {
                 return;
             }
-            let ctl = &p.out[slot];
-            if ctl.joined_at.is_some() || ctl.attempts != attempt + 1 || ctl.hedged {
+            let ctl = self.ctl(parent, slot);
+            if ctl.joined_at.get().is_some() || ctl.attempts != attempt + 1 || ctl.hedged {
                 return;
             }
-            (p.req, p.node)
+            (p.req, p.node as usize)
         };
         let now = self.sim.now();
-        self.insts[parent as usize].out[slot].hedged = true;
+        self.ctl_mut(parent, slot).hedged = true;
         self.counters[pnode].hedges += 1;
         self.emit(
             TraceEvent::new(now, TraceKind::Hedge)
@@ -673,10 +725,10 @@ impl<'a> Engine<'a> {
         let now = self.sim.now();
         let (node, is_root) = {
             let i = &self.insts[id as usize];
-            (i.node, i.parent.is_none())
+            (i.node as usize, i.is_root())
         };
         self.insts[id as usize].dead = true;
-        self.insts[id as usize].death = Some(now);
+        self.insts[id as usize].death.set(now);
         self.counters[node].failed_calls += 1;
         if is_root {
             self.root_abandon(id, attempts);
@@ -699,75 +751,73 @@ impl<'a> Engine<'a> {
 
     fn send_reply(&mut self, id: u32) {
         let now = self.sim.now();
-        let (node, req, edge, parent) = {
+        let (node, req, edge, is_root) = {
             let i = &self.insts[id as usize];
-            (i.node, i.req, i.edge, i.parent)
+            (i.node as usize, i.req, i.edge as usize, i.is_root())
         };
-        self.insts[id as usize].reply = Some(now);
+        self.insts[id as usize].reply.set(now);
         self.counters[node].replies += 1;
-        match parent {
-            None => {
-                let rt = now.duration_since(self.insts[id as usize].dispatch);
-                self.emit(
-                    TraceEvent::new(now, TraceKind::Completion)
-                        .conn(req as usize)
-                        .thread(node)
-                        .arg(rt.as_nanos()),
-                );
-                if now >= self.warm_start && now < self.warm_end {
-                    self.completed += 1;
-                    self.rts.push(rt.as_nanos());
-                }
+        if is_root {
+            let rt = now.duration_since(self.insts[id as usize].dispatch);
+            self.emit(
+                TraceEvent::new(now, TraceKind::Completion)
+                    .conn(req as usize)
+                    .thread(node)
+                    .arg(rt.as_nanos()),
+            );
+            if now >= self.warm_start && now < self.warm_end {
+                self.completed += 1;
+                self.rts.push(rt.as_nanos());
             }
-            Some(_) => {
-                let latency = self.g.edges[edge as usize].latency;
-                self.sim.schedule(latency, DagEvent::Reply(id));
-            }
+        } else {
+            let latency = self.g.edges[edge].latency;
+            self.sim.schedule(latency, DagEvent::Reply(id));
         }
     }
 
     fn reply_at_caller(&mut self, child: u32) {
         let now = self.sim.now();
-        let (pid, slot) = {
+        let (pid, slot, cnode, creq, cattempt, chedge) = {
             let c = &self.insts[child as usize];
-            let (p, s) = c.parent.expect("root replies complete at the client");
-            (p, s as usize)
+            assert!(!c.is_root(), "root replies complete at the client");
+            (
+                c.parent,
+                c.slot as usize,
+                c.node as usize,
+                c.req,
+                c.attempt,
+                c.hedge,
+            )
         };
-        let (cnode, creq, cattempt, chedge) = {
-            let c = &self.insts[child as usize];
-            (c.node, c.req, c.attempt, c.hedge)
-        };
-        let fate = {
-            let p = &self.insts[pid as usize];
-            if p.dead {
-                ReplyFate::Orphan
+        let fate = if self.insts[pid as usize].dead {
+            ReplyFate::Orphan
+        } else {
+            let ctl = self.ctl(pid, slot);
+            if ctl.joined_at.get().is_none() {
+                ReplyFate::Join
             } else {
-                let ctl = &p.out[slot];
-                match ctl.winner {
-                    None => ReplyFate::Join,
-                    Some(w) => {
-                        let w = &self.insts[w as usize];
-                        // The loser of a hedged pair is cancelled; any
-                        // other late reply (an older or newer retry
-                        // generation) is an orphan.
-                        if w.attempt == cattempt && w.hedge != chedge {
-                            ReplyFate::HedgeLoser
-                        } else {
-                            ReplyFate::Orphan
-                        }
-                    }
+                let w = &self.insts[ctl.winner as usize];
+                // The loser of a hedged pair is cancelled; any other late
+                // reply (an older or newer retry generation) is an orphan.
+                if w.attempt == cattempt && w.hedge != chedge {
+                    ReplyFate::HedgeLoser
+                } else {
+                    ReplyFate::Orphan
                 }
             }
         };
         match fate {
             ReplyFate::Join => {
-                let (pnode, e_idx, first_dispatch) = {
+                let (e_idx, first_dispatch) = {
+                    let ctl = self.ctl_mut(pid, slot);
+                    ctl.joined_at.set(now);
+                    ctl.winner = child;
+                    (ctl.edge as usize, ctl.first_dispatch)
+                };
+                let pnode = {
                     let p = &mut self.insts[pid as usize];
-                    let ctl = &mut p.out[slot];
-                    ctl.joined_at = Some(now);
-                    ctl.winner = Some(child);
                     p.pending -= 1;
-                    (p.node, p.out[slot].edge, p.out[slot].first_dispatch)
+                    p.node as usize
                 };
                 self.insts[child as usize].won = true;
                 self.counters[cnode].joins += 1;
@@ -784,14 +834,14 @@ impl<'a> Engine<'a> {
                 }
             }
             ReplyFate::HedgeLoser => {
-                let e_idx = self.insts[pid as usize].out[slot].edge;
+                let e_idx = self.ctl(pid, slot).edge;
                 self.counters[cnode].hedge_cancels += 1;
                 self.emit(
                     TraceEvent::new(now, TraceKind::HedgeCancel)
                         .conn(creq as usize)
                         .thread(cnode)
                         .class(child as usize)
-                        .arg(e_idx as u64),
+                        .arg(e_idx.into()),
                 );
             }
             ReplyFate::Orphan => {
@@ -801,6 +851,7 @@ impl<'a> Engine<'a> {
     }
 
     fn finish(self) -> (DagSummary, Vec<DagSpan>) {
+        let spans = self.build_spans();
         let mut rts = self.rts;
         rts.sort_unstable();
         let pct = |q: f64| -> u64 {
@@ -828,85 +879,99 @@ impl<'a> Engine<'a> {
             tier_names: self.g.tiers.iter().map(|t| t.name.clone()).collect(),
             per_tier: self.counters,
         };
-        let spans = build_spans(self.g, &self.insts, &self.roots);
         (summary, spans)
     }
-}
 
-/// Builds one span per root request from the driver's perfect linkage,
-/// including the critical-path phase decomposition (see [`DagSpan`]).
-fn build_spans(g: &ServiceGraph, insts: &[Inst], roots: &[u32]) -> Vec<DagSpan> {
-    let ntiers = g.tiers.len();
-    let mut spans: Vec<DagSpan> = roots
-        .iter()
-        .map(|&rid| {
-            let r = &insts[rid as usize];
-            let (end, status) = match r.reply {
-                Some(t) => (t, DagSpanStatus::Completed),
-                None => (
-                    r.death.expect("a drained run leaves no unfinished root"),
-                    DagSpanStatus::Failed,
-                ),
-            };
-            DagSpan {
-                req: r.req,
-                start: r.dispatch,
-                end,
-                status,
-                attempts: Vec::new(),
-                tier_queue_ns: vec![0; ntiers],
-                tier_service_ns: vec![0; ntiers],
-                network_ns: 0,
-                wait_ns: 0,
-            }
-        })
-        .collect();
-    for (id, i) in insts.iter().enumerate() {
-        spans[i.req as usize].attempts.push(DagAttempt {
-            inst: id as u32,
-            node: i.node,
-            edge: i.edge,
-            attempt: i.attempt,
-            hedge: i.hedge,
-            dispatch: i.dispatch,
-            enter: i.enter,
-            exit: i.exit,
-            done: i.done,
-            reply: i.reply,
-            won: i.won,
-        });
-    }
-    for (req, span) in spans.iter_mut().enumerate() {
-        if span.status != DagSpanStatus::Completed {
-            // No critical path through a dead request; the whole span is
-            // dead wait, which keeps the conservation identity exact.
-            span.wait_ns = span.end.duration_since(span.start).as_nanos();
-            continue;
+    /// Builds one span per root request from the driver's perfect
+    /// linkage, including the critical-path phase decomposition (see
+    /// [`DagSpan`]).
+    fn build_spans(&self) -> Vec<DagSpan> {
+        let (g, insts, ctls, roots) = (self.g, &self.insts, &self.ctls, &self.roots);
+        let ntiers = g.tiers.len();
+        // Count each request's attempts first, so every span's attempt list
+        // is allocated once at its exact size.
+        let mut counts = vec![0usize; roots.len()];
+        for i in insts {
+            counts[i.req as usize] += 1;
         }
-        // Walk the chain of last-joining edges from the root call down.
-        let mut cur = roots[req];
-        loop {
-            let i = &insts[cur as usize];
-            let enter = i.enter.expect("critical-path calls are never shed");
-            let exit = i.exit.expect("critical-path calls started service");
-            let done = i.done.expect("critical-path calls finished service");
-            span.tier_queue_ns[i.node] += exit.duration_since(enter).as_nanos();
-            span.tier_service_ns[i.node] += done.duration_since(exit).as_nanos();
-            if i.out.is_empty() {
-                break;
-            }
-            let ctl = i
-                .out
-                .iter()
-                .max_by_key(|c| c.joined_at.expect("a replied call joined every edge"))
-                .expect("non-leaf calls have out-edges");
-            let w = ctl.winner.expect("joined edges have a winner");
-            span.network_ns += 2 * g.edges[ctl.edge].latency.as_nanos();
-            span.wait_ns += insts[w as usize].dispatch.duration_since(done).as_nanos();
-            cur = w;
+        let mut spans: Vec<DagSpan> = roots
+            .iter()
+            .zip(&counts)
+            .map(|(&rid, &n)| {
+                let r = &insts[rid as usize];
+                let (end, status) = match r.reply.get() {
+                    Some(t) => (t, DagSpanStatus::Completed),
+                    None => (
+                        r.death
+                            .get()
+                            .expect("a drained run leaves no unfinished root"),
+                        DagSpanStatus::Failed,
+                    ),
+                };
+                DagSpan {
+                    req: r.req.into(),
+                    start: r.dispatch,
+                    end,
+                    status,
+                    attempts: Vec::with_capacity(n),
+                    tier_queue_ns: vec![0; ntiers],
+                    tier_service_ns: vec![0; ntiers],
+                    network_ns: 0,
+                    wait_ns: 0,
+                }
+            })
+            .collect();
+        for (id, i) in insts.iter().enumerate() {
+            spans[i.req as usize].attempts.push(DagAttempt {
+                inst: id as u32,
+                node: i.node as usize,
+                edge: i.edge.into(),
+                attempt: i.attempt,
+                hedge: i.hedge,
+                dispatch: i.dispatch,
+                enter: i.enter.get(),
+                exit: i.exit.get(),
+                done: i.done.get(),
+                reply: i.reply.get(),
+                won: i.won,
+            });
         }
+        for (req, span) in spans.iter_mut().enumerate() {
+            if span.status != DagSpanStatus::Completed {
+                // No critical path through a dead request; the whole span is
+                // dead wait, which keeps the conservation identity exact.
+                span.wait_ns = span.end.duration_since(span.start).as_nanos();
+                continue;
+            }
+            // Walk the chain of last-joining edges from the root call down.
+            let mut cur = roots[req];
+            loop {
+                let i = &insts[cur as usize];
+                let node = i.node as usize;
+                let enter = i.enter.get().expect("critical-path calls are never shed");
+                let exit = i.exit.get().expect("critical-path calls started service");
+                let done = i.done.get().expect("critical-path calls finished service");
+                span.tier_queue_ns[node] += exit.duration_since(enter).as_nanos();
+                span.tier_service_ns[node] += done.duration_since(exit).as_nanos();
+                let fanout = self.out_edges[node].len();
+                if fanout == 0 {
+                    break;
+                }
+                let out = i.out as usize;
+                let ctl = ctls[out..out + fanout]
+                    .iter()
+                    .max_by_key(|c| c.joined_at.get().expect("a replied call joined every edge"))
+                    .expect("non-leaf calls have out-edges");
+                span.network_ns += 2 * g.edges[ctl.edge as usize].latency.as_nanos();
+                span.wait_ns += insts[ctl.winner as usize]
+                    .dispatch
+                    .duration_since(done)
+                    .as_nanos();
+                cur = ctl.winner;
+            }
+        }
+        spans
     }
-    spans
 }
 
 #[cfg(test)]
@@ -922,6 +987,13 @@ mod tests {
         g.arrivals.warmup = SimDuration::from_millis(50);
         g.arrivals.measure = SimDuration::from_millis(300);
         g
+    }
+
+    #[test]
+    fn call_table_rows_stay_compact() {
+        assert_eq!(std::mem::size_of::<Stamp>(), 8);
+        assert!(std::mem::size_of::<Inst>() <= 88);
+        assert!(std::mem::size_of::<EdgeCtl>() <= 32);
     }
 
     #[test]

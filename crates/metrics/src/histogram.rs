@@ -97,14 +97,24 @@ impl Histogram {
             return SimDuration::ZERO;
         }
         let rank = ((q * self.count as f64).ceil() as u64).clamp(1, self.count);
-        let mut seen = 0u64;
-        for (i, &c) in self.buckets.iter().enumerate() {
-            seen += c;
-            if seen >= rank {
-                return SimDuration::from_nanos(Self::upper_bound(i).min(self.max));
+        SimDuration::from_nanos(Self::upper_bound(self.rank_bucket(rank)).min(self.max))
+    }
+
+    /// The lowest bucket whose cumulative count reaches `rank` (in
+    /// `1..=count`). The scan runs down from the top bucket, so a tail
+    /// quantile (the hot case: hedge delays) touches only the tail's
+    /// buckets. Bucket `i` is the answer when fewer than `rank` samples lie
+    /// below it, i.e. when more than `count - rank` lie at or above it.
+    fn rank_bucket(&self, rank: u64) -> usize {
+        let limit = self.count - rank;
+        let mut above = 0u64;
+        for (i, &c) in self.buckets.iter().enumerate().rev() {
+            above += c;
+            if above > limit {
+                return i;
             }
         }
-        SimDuration::from_nanos(self.max)
+        unreachable!("bucket counts sum to the sample count")
     }
 
     /// Merges another histogram into this one.
@@ -155,6 +165,7 @@ impl Histogram {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn ns(v: u64) -> SimDuration {
         SimDuration::from_nanos(v)
@@ -243,6 +254,39 @@ mod tests {
     #[should_panic]
     fn quantile_out_of_range_panics() {
         Histogram::new().quantile(1.5);
+    }
+
+    /// The reference rank search: a bottom-up scan over every bucket.
+    fn quantile_bottom_up(h: &Histogram, q: f64) -> SimDuration {
+        if h.count == 0 {
+            return SimDuration::ZERO;
+        }
+        let rank = ((q * h.count as f64).ceil() as u64).clamp(1, h.count);
+        let mut seen = 0u64;
+        for (i, &c) in h.buckets.iter().enumerate() {
+            seen += c;
+            if seen >= rank {
+                return SimDuration::from_nanos(Histogram::upper_bound(i).min(h.max));
+            }
+        }
+        SimDuration::from_nanos(h.max)
+    }
+
+    proptest! {
+        /// The top-down scan finds the bucket the bottom-up scan
+        /// finds, for samples spread over 40 octaves.
+        #[test]
+        fn quantile_matches_bottom_up_scan(
+            samples in prop::collection::vec((0u32..40, 0u64..64), 1..400),
+        ) {
+            let mut h = Histogram::new();
+            for &(octave, low) in &samples {
+                h.record(ns((1u64 << octave) + low));
+            }
+            for q in [0.0, 0.5, 0.9, 0.97, 1.0] {
+                prop_assert_eq!(h.quantile(q), quantile_bottom_up(&h, q), "q={}", q);
+            }
+        }
     }
 
     #[test]

@@ -27,4 +27,7 @@ echo "== gate: dag scenario (drift check + dag/span audits, both drivers) =="
 cargo run --release -p asyncinv-bench --bin dag_study -- \
     --quick --scenario scenarios/dag_social.json
 
+echo "== gate: perfbench builds against the public API and passes its self-tests =="
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "ci OK"

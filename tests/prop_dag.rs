@@ -71,6 +71,36 @@ fn composed(seed: u64) -> ServiceGraph {
     g
 }
 
+/// The retry-storm policy on the social-network shape: retry budgets at
+/// zero and hedging off, so every edge timeout re-sends, and a brownout
+/// on post-storage, the deep-queue tier, long enough that timeouts
+/// compound into shed, orphaned and failed calls across the tiers.
+fn storm(seed: u64) -> ServiceGraph {
+    let mut g = ServiceGraph::social_network("prop-storm", ServerKind::NettyLike, seed);
+    g.tiers[4].queue_cap = 512;
+    g.arrivals.rate_per_sec = 8000.0;
+    g.arrivals.warmup = SimDuration::from_millis(50);
+    g.arrivals.measure = SimDuration::from_millis(300);
+    g.cal.measure = SimDuration::from_millis(150);
+    for e in &mut g.edges {
+        e.timeout = if e.from == 0 {
+            SimDuration::from_millis(8)
+        } else {
+            SimDuration::from_micros(2500)
+        };
+        e.max_retries = 3;
+        e.budget_ratio = 0.0;
+        e.hedge = None;
+    }
+    g.slow = Some(SlowTier {
+        tier: 4,
+        factor: 20.0,
+        at: SimDuration::from_millis(100),
+        duration: SimDuration::from_millis(150),
+    });
+    g
+}
+
 /// The single-node reduction, for all eight architectures and both
 /// fleet drivers: summary and full trace state are bit-identical to the
 /// bare `Cluster`/`ParallelCluster` run on the identical config.
@@ -147,6 +177,45 @@ fn composed_dag_passes_both_audits() {
         if s.status == DagSpanStatus::Completed {
             assert!(s.attempts.iter().any(|a| a.won));
         }
+    }
+}
+
+/// A retry storm keeps both audits and span conservation exact and
+/// stays driver-invariant, and the run reaches every failure path:
+/// orphaned replies, edge retries and calls that die.
+#[test]
+fn storm_dag_passes_audits_and_is_driver_invariant() {
+    let (out, rec) = DagRun::new(storm(5), FleetDriver::Interleaved).run_traced();
+    let report = dag_audit(&out.summary, &rec);
+    assert!(report.pass(), "dag audit failed:\n{report}");
+    let spans = dag_span_audit(&out.spans, &rec);
+    assert!(spans.pass(), "span audit failed:\n{spans}");
+    for s in &out.spans {
+        assert!(
+            s.conserves(),
+            "span {} phases must telescope bitwise",
+            s.req
+        );
+    }
+    let sums = |f: fn(&asyncinv::dag::TierCounters) -> u64| -> u64 {
+        out.summary.per_tier.iter().map(f).sum()
+    };
+    assert!(sums(|t| t.orphans) > 0, "the storm must orphan replies");
+    assert!(sums(|t| t.edge_retries) > 0, "the storm must retry edges");
+    assert!(sums(|t| t.failed_calls) > 0, "the storm must fail calls");
+
+    let (par, par_rec) = DagRun::new(storm(5), FleetDriver::Parallel).run_traced();
+    assert_eq!(
+        out.summary, par.summary,
+        "storm summary must be driver-invariant"
+    );
+    assert_eq!(trace_state(&rec), trace_state(&par_rec));
+    assert_eq!(out.spans.len(), par.spans.len());
+    for (x, y) in out.spans.iter().zip(&par.spans) {
+        assert_eq!(
+            (x.req, x.start, x.end, x.attempts.len()),
+            (y.req, y.start, y.end, y.attempts.len())
+        );
     }
 }
 
