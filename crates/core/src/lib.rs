@@ -70,9 +70,8 @@ pub mod fault {
 pub mod fleet {
     pub use asyncinv_fleet::{
         fleet_audit, mix64, Balancer, BalancerKind, BrownoutSpec, Cluster, ConsistentHashRing,
-        FleetConfig, FleetScenario, FleetSummary, HedgeConfig, HedgeEstimator, ParallelCluster,
-        ParallelHealth, SchedulePlan, ScheduleTrace, ShardFault, ShardShed, ShardSummary,
-        VirtualSched, WorkerHealth,
+        FleetConfig, FleetScenario, FleetSummary, HedgeConfig, HedgeEstimator, ShardFault,
+        ShardShed, ShardSummary,
     };
 }
 

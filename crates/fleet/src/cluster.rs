@@ -238,9 +238,8 @@ enum FleetEvent {
     /// per-connection parse state. Scheduled one-way ahead of the matching
     /// [`FleetEvent::Arrive`] (multi-shard runs only): the spec travels
     /// with the bytes instead of teleporting into the target shard at
-    /// route time, which keeps each shard's `conn_info` free of
-    /// cross-shard writes inside a sync window (the parallel driver's
-    /// correctness hinges on this).
+    /// route time. The deferral is part of the driver's defined event
+    /// order, which the recorded `perfbench` digests pin.
     SetConn { shard: u32, user: u32, info: ConnInfo },
     /// The client-side timeout for a primary attempt expired.
     Timeout { shard: u32, user: u32, epoch: u32 },
@@ -254,50 +253,48 @@ enum FleetEvent {
 
 /// The server's in-progress response on one shard connection (mirror of
 /// the engine's private struct; staleness works via attempt identity).
-/// Shared with the parallel driver (`crate::parallel`), which keeps the
-/// same per-connection service state in its shard cores.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct Serving {
-    pub(crate) epoch: u32,
-    pub(crate) remaining: usize,
-    pub(crate) reject: bool,
-    pub(crate) shorted: bool,
+struct Serving {
+    epoch: u32,
+    remaining: usize,
+    reject: bool,
+    shorted: bool,
 }
 
 /// The fleet's view of one user's outstanding request.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct FleetReq {
+struct FleetReq {
     /// First-send instant (response time is user-perceived).
-    pub(crate) sent_at: SimTime,
+    sent_at: SimTime,
     /// Send instant of the current primary attempt (hedge delay base).
-    pub(crate) attempt_sent: SimTime,
+    attempt_sent: SimTime,
     /// Retries already made.
-    pub(crate) attempt: u32,
+    attempt: u32,
     /// Primary attempt identity: `(shard, shard-local epoch)`.
-    pub(crate) primary: (usize, u32),
+    primary: (usize, u32),
     /// Outstanding hedged duplicate, if any.
-    pub(crate) hedge: Option<(usize, u32)>,
+    hedge: Option<(usize, u32)>,
     /// Response size of the request spec (travels with every attempt).
-    pub(crate) response_bytes: usize,
+    response_bytes: usize,
     /// Workload-mix class of the request spec.
-    pub(crate) class: usize,
+    class: usize,
 }
 
 /// Fleet counters kept per shard (windowed by snapshot at warm-up end).
 #[derive(Debug, Clone, Copy, Default)]
-pub(crate) struct Counters {
-    pub(crate) routes: u64,
-    pub(crate) hedges: u64,
-    pub(crate) hedge_cancels: u64,
-    pub(crate) shard_retries: u64,
-    pub(crate) rejected: u64,
-    pub(crate) shed_dropped: u64,
-    pub(crate) fault_events: u64,
-    pub(crate) completions: u64,
+struct Counters {
+    routes: u64,
+    hedges: u64,
+    hedge_cancels: u64,
+    shard_retries: u64,
+    rejected: u64,
+    shed_dropped: u64,
+    fault_events: u64,
+    completions: u64,
 }
 
 impl Counters {
-    pub(crate) fn delta(&self, snap: &Counters) -> Counters {
+    fn delta(&self, snap: &Counters) -> Counters {
         Counters {
             routes: self.routes - snap.routes,
             hedges: self.hedges - snap.hedges,
@@ -336,9 +333,9 @@ struct Shard {
 /// Observer adapter that offsets shard-local thread ids into the fleet's
 /// merged thread-id space. Transparent when `base == 0` (shard 0), which
 /// keeps 1-shard traces identical to bare-engine traces.
-pub(crate) struct ShardObs<'a> {
-    pub(crate) inner: &'a mut dyn Observer,
-    pub(crate) base: u32,
+struct ShardObs<'a> {
+    inner: &'a mut dyn Observer,
+    base: u32,
 }
 
 impl Observer for ShardObs<'_> {
@@ -437,10 +434,9 @@ impl Cluster {
         self.drive(&vec![kind; self.cfg.shards], obs)
     }
 
-    /// The interleaved drive loop. `pub(crate)` so the parallel driver can
-    /// delegate degenerate shapes (1-shard fleets) to it.
+    /// The drive loop.
     #[allow(clippy::too_many_lines)]
-    pub(crate) fn drive(&self, kinds: &[ServerKind], obs: &mut dyn Observer) -> FleetSummary {
+    fn drive(&self, kinds: &[ServerKind], obs: &mut dyn Observer) -> FleetSummary {
         assert_eq!(kinds.len(), self.cfg.shards, "one architecture per shard");
         let cfg = &self.cfg;
         let cell = &cfg.cell;

@@ -9,6 +9,10 @@
 //! [`Balancer`], with optional hedged requests and per-shard fault and
 //! shed planes.
 //!
+//! [`Cluster`] is the one fleet driver: every shard's events run through
+//! one global queue on one thread. Independent fleets parallelize
+//! through the cell runner (`asyncinv::runner::parallel_map`) instead.
+//!
 //! Guarantees carried over from the single-server engine:
 //!
 //! - **Determinism** — same config, same seed, same [`FleetSummary`],
@@ -36,15 +40,11 @@
 mod balancer;
 mod cluster;
 mod hedge;
-mod parallel;
 mod scenario;
-mod schedule;
 
 pub use balancer::{mix64, Balancer, BalancerKind, ConsistentHashRing};
 pub use cluster::{
     fleet_audit, Cluster, FleetConfig, FleetSummary, ShardFault, ShardShed, ShardSummary,
 };
 pub use hedge::{HedgeConfig, HedgeEstimator};
-pub use parallel::{ParallelCluster, ParallelHealth, WorkerHealth};
 pub use scenario::{BrownoutSpec, FleetScenario};
-pub use schedule::{SchedulePlan, ScheduleTrace, VirtualSched};

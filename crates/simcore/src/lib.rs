@@ -43,11 +43,9 @@
 mod queue;
 mod rng;
 mod sim;
-mod threads;
 mod time;
 
 pub use queue::EventQueue;
 pub use rng::SimRng;
 pub use sim::Simulation;
-pub use threads::{configured_threads, THREADS_ENV};
 pub use time::{SimDuration, SimTime};

@@ -2,12 +2,13 @@
 //! to the bare single-server engine under every balancer, fleet runs are
 //! deterministic (including across OS threads), and the fleet trace
 //! reconciles bitwise with the fleet and per-shard counters under
-//! arbitrary per-shard fault plans.
+//! arbitrary per-shard fault plans and with every plane engaged at once.
 
-use asyncinv::fault::{FaultEvent, FaultKind, FaultPlan};
+use asyncinv::fault::{FaultEvent, FaultKind, FaultPlan, ShedConfig, ShedPolicy};
 use asyncinv::fleet::{
-    fleet_audit, BalancerKind, Cluster, FleetConfig, HedgeConfig, ShardFault,
+    fleet_audit, BalancerKind, Cluster, FleetConfig, HedgeConfig, ShardFault, ShardShed,
 };
+use asyncinv::obs::{Recorder, TraceEvent};
 use asyncinv::prelude::*;
 use asyncinv::workload::RetryPolicy;
 use proptest::prelude::*;
@@ -173,6 +174,74 @@ fn per_shard_hedging_diverges_from_pooled_under_asymmetry() {
         pooled, keyed,
         "per-shard estimators must change hedge timing under an asymmetric fleet"
     );
+}
+
+/// A stressed 3-shard fleet with every plane engaged: retries, hedging,
+/// a mid-run shard fault and a shed override.
+fn stressed_cfg() -> FleetConfig {
+    let mut cfg = FleetConfig::new(retrying_cell(), 3, BalancerKind::PowerOfTwoChoices {
+        seed: 0x5eed,
+    });
+    cfg.cell.trace_capacity = 1 << 16;
+    cfg.hedge = Some(HedgeConfig { min_samples: 16, ..HedgeConfig::default() });
+    cfg.shard_faults = vec![ShardFault {
+        shard: 1,
+        plan: FaultPlan {
+            seed: 5,
+            events: vec![FaultEvent {
+                at: SimDuration::from_millis(200),
+                fault: FaultKind::Slowdown {
+                    factor: 16.0,
+                    duration: Some(SimDuration::from_millis(150)),
+                },
+            }],
+        },
+    }];
+    cfg.shard_shed = vec![ShardShed {
+        shard: 2,
+        shed: ShedConfig {
+            max_concurrent: 1,
+            queue_cap: 1,
+            policy: ShedPolicy::DropOldest,
+            reject_bytes: 256,
+        },
+    }];
+    cfg
+}
+
+/// Everything a traced run externalizes: events, thread names, counters,
+/// and gauges (bit-compared as `u64`).
+type TraceState = (Vec<TraceEvent>, Vec<String>, Vec<(String, u64)>, Vec<(String, u64)>);
+
+fn trace_state(rec: &Recorder) -> TraceState {
+    let events: Vec<TraceEvent> = rec.events().copied().collect();
+    let names = rec.thread_names().to_vec();
+    let mut counters: Vec<(String, u64)> =
+        rec.registry().counters().map(|(n, v)| (n.to_string(), v)).collect();
+    counters.sort();
+    // Bit-compare the floats: "close" is not the contract.
+    let mut gauges: Vec<(String, u64)> =
+        rec.registry().gauges().map(|(n, v)| (n.to_string(), v.to_bits())).collect();
+    gauges.sort();
+    (events, names, counters, gauges)
+}
+
+/// With every plane engaged the fault, the hedges and the shed override
+/// all fire, the traced run passes the fleet audit, and a second traced
+/// run reproduces the first bitwise: same summary, same events in the
+/// same order, same thread names, counters and gauges.
+#[test]
+fn stressed_fleet_fires_every_plane_and_passes_audit() {
+    let cfg = stressed_cfg();
+    let (a, rec_a) = Cluster::new(cfg.clone()).run_traced(ServerKind::NettyLike);
+    let report = fleet_audit(&a, &rec_a);
+    assert!(report.pass(), "stressed fleet audit failed:\n{report}");
+    assert!(a.fleet.fault_events > 0, "the fault must actually fire");
+    assert!(a.fleet.hedges > 0, "hedging must actually fire");
+    assert!(a.fleet.shed_dropped > 0, "the shed override must actually shed");
+    let (b, rec_b) = Cluster::new(cfg).run_traced(ServerKind::NettyLike);
+    assert_eq!(a, b, "summary diverged between identical runs");
+    assert_eq!(trace_state(&rec_a), trace_state(&rec_b), "trace diverged between identical runs");
 }
 
 proptest! {
